@@ -47,6 +47,7 @@ from .polygon import (
 )
 from .polynomial import Poly
 from .resonance import (
+    CertificateError,
     IndicialPolynomial,
     ResonanceCertificate,
     ResonanceError,
@@ -59,16 +60,12 @@ from .series import (
     Rational,
     SeriesTZ,
     SeriesZ,
-    dt_antiderivative,
-    dt_apply,
-    dz_apply,
-    series_add,
-    series_mul,
 )
 from .solver import (
     AdversarialPair,
     ConditionError,
     NoAdversarialDirectionError,
+    ResidualError,
     SolutionTable,
     adversarial,
     apply_full,

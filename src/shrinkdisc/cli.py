@@ -29,9 +29,15 @@ from .analysis import (
 from .dsl import build_operator
 from .growth import analyze_table, fit_alpha, radii_svg, radius_estimate
 from .polygon import check_conditions, polygon_svg
-from .resonance import IndicialPolynomial, ResonanceError, certify, liouville_demo
+from .resonance import (
+    CertificateError,
+    IndicialPolynomial,
+    ResonanceError,
+    certify,
+    liouville_demo,
+)
 from .series import SeriesTZ
-from .solver import adversarial, solve_full, verify_sharpness
+from .solver import ResidualError, adversarial, solve_full, verify_sharpness
 
 DEFAULTS = {
     "N": 16,
@@ -84,6 +90,15 @@ def _frac(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _int_pair(text: str) -> tuple[int, int]:
+    """'a,b' as two ints; argparse turns the error into a JSON usage error."""
+    try:
+        a, b = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two integers 'a,b', got {text!r}") from None
+    return a, b
+
+
 def _load_params(path: str | None) -> dict[str, SeriesTZ]:
     if path is None:
         return {}
@@ -106,17 +121,18 @@ def _load_series(path: str) -> SeriesTZ:
 
 def _resolve_operator(args) -> tuple[str, dict]:
     if getattr(args, "fixture", None):
-        parts = args.fixture.split(":")
-        name, rest = parts[0], parts[1:]
-        if name == "geometric":
+        name, *rest = args.fixture.split(":")
+        ints = [int(x) for x in rest if x.isdecimal()]
+        if name == "geometric" and not rest:
             return fixtures.geometric()
-        if name == "geometric-general":
-            mu, nu = (int(x) for x in rest) if rest else (3, 2)
-            return fixtures.geometric_general(mu, nu)
-        if name == "constant-diagonal":
-            h = int(rest[0]) if rest else 4
-            return fixtures.constant_diagonal(h=h, n_order=args.N, k_order=args.K)
-        raise CliError(f"unknown fixture '{args.fixture}'")
+        if name == "geometric-general" and len(ints) == len(rest) in (0, 2):
+            return fixtures.geometric_general(*(ints or (3, 2)))
+        if name == "constant-diagonal" and len(ints) == len(rest) <= 1:
+            return fixtures.constant_diagonal(*ints, n_order=args.N, k_order=args.K)
+        raise CliError(
+            f"unknown fixture '{args.fixture}': expected geometric, "
+            "geometric-general[:mu:nu] or constant-diagonal[:h] with unsigned integer parameters"
+        )
     if getattr(args, "operator", None):
         source = Path(args.operator).read_text().strip()
         return source, _load_params(getattr(args, "params", None))
@@ -239,14 +255,7 @@ def cmd_fit(args) -> int:
     u = _load_series(args.solution)
     s = Fraction(0) if args.s is None else _frac(args.s)
     alpha = None if args.alpha is None else _frac(args.alpha)
-    k_window = n_window = None
-    if args.window_k:
-        lo, hi = (int(x) for x in args.window_k.split(","))
-        k_window = (lo, hi)
-    if args.window_n:
-        lo, hi = (int(x) for x in args.window_n.split(","))
-        n_window = (lo, hi)
-    report = analyze_table(u, s, n_window=n_window, k_window=k_window, alpha=alpha)
+    report = analyze_table(u, s, n_window=args.window_n, k_window=args.window_k, alpha=alpha)
     out_dir = Path(args.out_dir)
     _write(out_dir / "growth.json", _json_text(report.to_json_dict()))
     radii_lines = ["n,r_hat"] + [f"{n},{report.radii[n]!r}" for n in sorted(report.radii)]
@@ -266,7 +275,7 @@ def cmd_sharpness(args) -> int:
     m = compute_m(P)
     T = reduce_to_theta(principal_part(P, m), m)
     rep = exponents(T)
-    lo, hi = (int(x) for x in args.rows.split(","))
+    lo, hi = args.rows
     rows = {}
     checks = {}
     for n in range(lo, hi + 1):
@@ -378,7 +387,7 @@ def _add_common(sp, *, operator=True):
         sp.add_argument("--fixture", help="built-in operator, e.g. geometric or geometric-general:3:2")
     sp.add_argument("--N", type=int, default=DEFAULTS["N"])
     sp.add_argument("--K", type=int, default=DEFAULTS["K"])
-    sp.add_argument("--grid", default=None, help="resonance grid 'N0,K0'")
+    sp.add_argument("--grid", type=_int_pair, default=None, help="resonance grid 'N0,K0'")
     sp.add_argument("--s", default=None, help="Gevrey order override, as 'p/q'")
     sp.add_argument("--out-dir", default=DEFAULTS["out_dir"])
     sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
@@ -405,19 +414,19 @@ def build_parser() -> _Parser:
     sp.add_argument("--solution", required=True, help="solution CSV from a prior solve")
     sp.add_argument("--s", default=None)
     sp.add_argument("--alpha", default=None, help="exact alpha for bound constants")
-    sp.add_argument("--window-k", default=DEFAULTS["window_k"], help="'lo,hi'")
-    sp.add_argument("--window-n", default=None, help="'lo,hi'")
+    sp.add_argument("--window-k", type=_int_pair, default=DEFAULTS["window_k"], help="'lo,hi'")
+    sp.add_argument("--window-n", type=_int_pair, default=None, help="'lo,hi'")
     sp.add_argument("--out-dir", default=DEFAULTS["out_dir"])
     sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     sp.add_argument("--svg", action="store_true")
 
     sp = sub.add_parser("sharpness", description="adversarial growth table")
     _add_common(sp)
-    sp.add_argument("--rows", default=DEFAULTS["rows"], help="row range 'lo,hi'")
+    sp.add_argument("--rows", type=_int_pair, default=DEFAULTS["rows"], help="row range 'lo,hi'")
 
     sp = sub.add_parser("liouville", description="near-resonance records")
     sp.add_argument("--terms", type=int, default=DEFAULTS["terms"])
-    sp.add_argument("--grid", default="4000,4000")
+    sp.add_argument("--grid", type=_int_pair, default="4000,4000")
     sp.add_argument("--out-dir", default=DEFAULTS["out_dir"])
     sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
 
@@ -439,11 +448,8 @@ def main(argv=None) -> int:
     if not args.command:
         ap.error("a subcommand is required (or --print-config)")
 
-    if getattr(args, "grid", None):
-        gn, gk = (int(x) for x in args.grid.split(","))
-    else:
-        gn, gk = DEFAULTS["grid_n"], DEFAULTS["grid_k"]
-    args.grid_n, args.grid_k = gn, gk
+    grid = getattr(args, "grid", None)
+    args.grid_n, args.grid_k = grid or (DEFAULTS["grid_n"], DEFAULTS["grid_k"])
 
     handlers = {
         "analyze": cmd_analyze,
@@ -455,10 +461,11 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ResonanceError as exc:
-        _emit_error("ResonanceError", str(exc), {"n": exc.n, "k": exc.k})
+    except (ResonanceError, ResidualError) as exc:
+        _emit_error(type(exc).__name__, str(exc), {"n": exc.n, "k": exc.k})
         return 1
     except (
+        CertificateError,
         CliError,
         HypothesisError,
         NegativeLowerOrdinateError,

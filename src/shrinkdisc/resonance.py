@@ -46,6 +46,17 @@ class ResonanceError(ArithmeticError):
         self.k = k
 
 
+class CertificateError(ArithmeticError):
+    """A tail bound exceeds the grid minimum: the certificate would be unsound."""
+
+
+def _check_bound(bound: Fraction, grid_min: Fraction) -> Fraction:
+    """Soundness guard: C0 may not exceed the least |W| the grid scan found."""
+    if bound > grid_min:
+        raise CertificateError(f"tail bound {bound} exceeds the grid minimum {grid_min}")
+    return bound
+
+
 class IndicialPolynomial:
     """W(n, k) = sum_i c_i(n) k^i with exact polynomial coefficients."""
 
@@ -173,10 +184,9 @@ def certify(W: IndicialPolynomial, grid: tuple[int, int] = (256, 256)) -> Resona
 
     bound = _sign_definite_bound(W)
     if bound is not None:
-        assert bound <= grid_min
         return ResonanceCertificate(
             verdict="certified_strong",
-            C0_lower_bound=bound,
+            C0_lower_bound=_check_bound(bound, grid_min),
             grid=grid,
             tail_argument="sign_definite",
             witness=None,
@@ -194,10 +204,9 @@ def certify(W: IndicialPolynomial, grid: tuple[int, int] = (256, 256)) -> Resona
             grid_min=None,
         )
     if bound is not None:
-        assert bound <= grid_min
         return ResonanceCertificate(
             verdict="certified_strong",
-            C0_lower_bound=bound,
+            C0_lower_bound=_check_bound(bound, grid_min),
             grid=grid,
             tail_argument="leading_term",
             witness=None,

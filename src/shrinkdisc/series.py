@@ -222,17 +222,6 @@ class SeriesTZ:
                 cs[k] = v
         return SeriesZ(cs, self.k_order)
 
-    @classmethod
-    def from_rows(cls, rows: list[SeriesZ], k_order: int | None = None) -> "SeriesTZ":
-        if k_order is None:
-            k_order = min(r.order for r in rows) if rows else 0
-        ent = {}
-        for n, r in enumerate(rows):
-            for k, v in r.nonzero_items():
-                if k <= k_order:
-                    ent[(n, k)] = v
-        return cls(ent, max(len(rows) - 1, 0), k_order)
-
     def truncate(self, n_order: int, k_order: int) -> "SeriesTZ":
         ent = {
             (n, k): v
@@ -353,25 +342,3 @@ class SeriesTZ:
         if k_order is None:
             k_order = max((k for (_n, k) in ent), default=0)
         return cls(ent, n_order, k_order)
-
-
-# Facade names used throughout the package and the CLI.
-
-def series_add(a: SeriesTZ, b: SeriesTZ) -> SeriesTZ:
-    return a + b
-
-
-def series_mul(a: SeriesTZ, b: SeriesTZ) -> SeriesTZ:
-    return a * b
-
-
-def dt_apply(u: SeriesTZ) -> SeriesTZ:
-    return u.dt()
-
-
-def dz_apply(u: SeriesTZ) -> SeriesTZ:
-    return u.dz()
-
-
-def dt_antiderivative(u: SeriesTZ, m: int) -> SeriesTZ:
-    return u.dt_antiderivative(m)

@@ -5,7 +5,19 @@ P(dt, dz) applied to the m-fold t-antiderivative of u couples u_{n',k'}
 only for (n', k') at or lexicographically below (n, k), and the
 coefficient multiplying u_{n,k} itself is the indicial value
 W_{m,0}(n, k, 0).  Rows are therefore solved in lexicographic order by
-one exact rational division per cell; no pivoting is ever needed.
+one exact division per cell; no pivoting is ever needed.
+
+The coupling of (P, m) is compiled once into a stencil of entries
+(dn, dk, q, r, c): the coefficient c of a_qr at t^nu z^kap sends u at
+(n - dn, k - dk) to (n, k).  Per row the t-factor is hoisted, the
+weight denominators are cleared by one integer D_n and the falling
+factorials in k come from a precomputed integer table, so the entries
+sharing a shift (dn, dk) add up to one vector of Python ints over k.
+``solve_full`` gathers each cell from these vectors and divides by the
+diagonal; ``apply_full`` runs the same gather without the division.
+A value stays an int while its division is exact and becomes a
+Fraction at the first inexact one; mixed int and Fraction arithmetic
+carries on from there.
 
 Cells outside the truncation rectangle are treated as zero on both the
 solve and the apply side, so the round trip apply(solve(g)) reproduces
@@ -23,14 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, mul
 
-from .analysis import (
-    ThetaOperator,
-    exponents,
-    principal_part,
-    reduce_to_theta,
-)
+from .analysis import ThetaOperator, exponents, principal_part, reduce_to_theta
 from .dsl import NormalOperator
+from .growth import _pow_products_le
 from .polynomial import Poly
 from .resonance import IndicialPolynomial, ResonanceError
 from .series import SeriesTZ, SeriesZ
@@ -44,6 +54,14 @@ class NoAdversarialDirectionError(ValueError):
     """alpha = 0: there is no direction along which radii must shrink."""
 
 
+class ResidualError(ArithmeticError):
+    """The solved table, applied back, does not reproduce the right side."""
+
+    def __init__(self, n: int, k: int):
+        super().__init__(f"residual check failed: first difference at (n, k) = ({n}, {k})")
+        self.n, self.k = n, k
+
+
 def _ff_int(x: int, r: int) -> int:
     out = 1
     for t in range(r):
@@ -52,23 +70,87 @@ def _ff_int(x: int, r: int) -> int:
 
 
 def _t_factor(n2: int, q: int, m: int):
-    """Coefficient picked up by t^{n2} under dt^q after the m-fold antiderivative."""
-    e = q - m
-    if e >= 0:
-        return _ff_int(n2, e)
-    if n2 + m - q < 0:
-        return 0
-    f = Fraction(1)
-    for t in range(1, -e + 1):
-        f /= n2 + t
-    return f
+    """Coefficient picked up by t^{n2} under dt^q after the m-fold antiderivative.
+
+    Nonzero exactly when n2 >= max(q - m, 0).
+    """
+    if q >= m:
+        return _ff_int(n2, q - m)
+    return Fraction(1, _ff_int(n2 + m - q, m - q))
 
 
-def _op_items(P: NormalOperator):
-    return [
-        (q, r, [(nu, kap, c) for nu, kap, c in a.items()])
-        for (q, r), a in sorted(P.terms.items())
+def _stencil(P: NormalOperator, m: int, K: int):
+    """The (P, m) coupling as entries (dn, dk, q, r, c), with ff(k2, r) for k2 <= K.
+
+    The entry for a_qr[nu, kap] = c sends u_{n2,k2} to the t^n z^k
+    coefficient, n = n2 + dn and k = k2 + dk, with the weight
+    c * _t_factor(n2, q, m) * ff(k2, r); the weight is nonzero exactly
+    when n2 >= max(q - m, 0) and k2 >= r.
+    """
+    stencil = [
+        (m - q + nu, kap - r, q, r, c)
+        for (q, r), a in P.terms.items()
+        for nu, kap, c in a.items()
     ]
+    ff = {r: [_ff_int(k2, r) for k2 in range(K + 1)] for _dn, _dk, _q, r, _c in stencil}
+    return stencil, ff
+
+
+def _row(stencil, n: int, m: int, N: int) -> tuple[int, dict]:
+    """Row n's weights from source rows 0..N, as (D_n, {(dn, dk): [(r, w), ...]}).
+
+    Entries sharing (dn, dk, r) are merged, the t-factor is hoisted into
+    the weight and the row's weight denominators are cleared by the one
+    integer D_n: w is the int D_n * sum of c * _t_factor(n - dn, q, m).
+    """
+    merged: dict[tuple[int, int, int], Fraction] = {}
+    for dn, dk, q, r, c in stencil:
+        if max(q - m, 0) <= n - dn <= N:
+            merged[dn, dk, r] = merged.get((dn, dk, r), 0) + c * _t_factor(n - dn, q, m)
+    D = lcm(*(w.denominator for w in merged.values()))
+    live: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (dn, dk, r), w in merged.items():
+        if w:
+            live.setdefault((dn, dk), []).append((r, w.numerator * (D // w.denominator)))
+    return D, live
+
+
+def _weights(rws, ff: dict[int, list[int]], K: int) -> list[int]:
+    """sum of w * ff(k2, r) over (r, w) in rws, for k2 = 0..K."""
+    vec = [0] * (K + 1)
+    for r, w in rws:
+        vec = [x + w * f for x, f in zip(vec, ff[r])]
+    return vec
+
+
+def _gather(acc: list, entries, u: list[list], n: int, ff: dict[int, list[int]]):
+    """acc[k] += w[k - dk] * u[n - dn][k - dk] over ((dn, dk), rws), w = _weights(rws).
+
+    k runs over acc's window wherever k - dk is a column 0..K of u.
+    """
+    K = len(u[0]) - 1
+    for (dn, dk), rws in entries:
+        lo, hi = max(dk, 0), min(len(acc) - 1, K + dk)
+        if lo <= hi:
+            prods = map(mul, _weights(rws, ff, K)[lo - dk :], u[n - dn][lo - dk : hi - dk + 1])
+            acc[lo : hi + 1] = map(add, acc[lo : hi + 1], prods)
+
+
+def _div(num, den):
+    """num / den as an int while the division is exact, else a Fraction."""
+    if isinstance(num, int):
+        q, rem = divmod(num, den)
+        return q if rem == 0 else Fraction(num, den)
+    v = num / den
+    return v.numerator if v.denominator == 1 else v
+
+
+def _dense(s: SeriesTZ) -> list[list]:
+    """Rows of s, integral values as ints."""
+    rows = [[0] * (s.k_order + 1) for _ in range(s.n_order + 1)]
+    for n, k, v in s.items():
+        rows[n][k] = v.numerator if v.denominator == 1 else v
+    return rows
 
 
 @dataclass(frozen=True)
@@ -84,7 +166,9 @@ def solve_full(P: NormalOperator, m: int, g: SeriesTZ, check_residual: bool = Tr
     Preconditions are the solvability conditions at this truncation:
     the reduction must yield lower ordinate 0 (else ConditionError) and
     the diagonal must never vanish on the table (else ResonanceError
-    carrying the failing (n, k)).
+    carrying the failing (n, k)).  With check_residual the solved table
+    is applied back and must reproduce g on the output window, else
+    ResidualError names the first differing (n, k).
     """
     T = reduce_to_theta(principal_part(P, m), m)
     if T.l != 0:
@@ -93,46 +177,36 @@ def solve_full(P: NormalOperator, m: int, g: SeriesTZ, check_residual: bool = Tr
             "is not triangular"
         )
 
-    N, K = g.n_order, g.k_order
-    terms = _op_items(P)
-    u: list[list[Fraction | None]] = [[None] * (K + 1) for _ in range(N + 1)]
-    for n in range(N + 1):
-        for k in range(K + 1):
-            acc = g.coeff(n, k)
-            diag = Fraction(0)
-            for q, r, items in terms:
-                for nu, kap, c in items:
-                    n2 = n - m + q - nu
-                    if n2 < 0 or n2 > N:
-                        continue
-                    k2 = k + r - kap
-                    if k2 < 0 or k2 > K:
-                        continue
-                    fT = _t_factor(n2, q, m)
-                    if fT == 0:
-                        continue
-                    fZ = _ff_int(k2, r)
-                    if fZ == 0:
-                        continue
-                    w = c * fT * fZ
-                    if n2 == n and k2 == k:
-                        diag += w
-                    elif (n2, k2) < (n, k):
-                        acc -= w * u[n2][k2]
-                    else:  # pragma: no cover - excluded by the l == 0 check
-                        raise AssertionError("lexicographic triangularity violated")
-            if diag == 0:
-                raise ResonanceError(n, k)
-            u[n][k] = acc / diag
-
-    useries = SeriesTZ(
-        {(n, k): u[n][k] for n in range(N + 1) for k in range(K + 1)}, N, K
-    )
-    ok = False
+    u = _solve(P, m, g)
     if check_residual:
-        out = apply_full(P, m, useries)
-        ok = out == g.truncate(out.n_order, out.k_order)
-    return SolutionTable(u=useries, g=g, residual_checked=ok)
+        out = apply_full(P, m, u)
+        expected = g.truncate(out.n_order, out.k_order)
+        if out != expected:
+            n, k, _v = (out - expected).items()[0]
+            raise ResidualError(n, k)
+    return SolutionTable(u=u, g=g, residual_checked=check_residual)
+
+
+def _solve(P: NormalOperator, m: int, g: SeriesTZ) -> SeriesTZ:
+    """The stencil solve, cell by cell; its work tables die before the residual apply."""
+    N, K = g.n_order, g.k_order
+    stencil, ff = _stencil(P, m, K)
+    if any((dn, dk) < (0, 0) for dn, dk, *_e in stencil):  # pragma: no cover - m < compute_m(P)
+        raise AssertionError("lexicographic triangularity violated")
+    u = _dense(g)  # row n is overwritten by the solution once solved
+    for n in range(N + 1):
+        D, live = _row(stencil, n, m, N)
+        acc = [0] * (K + 1)
+        _gather(acc, [e for e in live.items() if e[0][0] > 0], u, n, ff)
+        same = [(dk, _weights(rws, ff, K)) for (dn, dk), rws in live.items() if dn == 0 < dk]
+        diag = _weights(live.get((0, 0), ()), ff, K)
+        row = u[n]
+        for k in range(K + 1):
+            if diag[k] == 0:
+                raise ResonanceError(n, k)
+            s = acc[k] + sum(w[k - dk] * row[k - dk] for dk, w in same if k >= dk)
+            row[k] = _div(D * row[k] - s, diag[k])
+    return SeriesTZ({(n, k): v for n, row in enumerate(u) for k, v in enumerate(row)}, N, K)
 
 
 def apply_full(P: NormalOperator, m: int, u: SeriesTZ) -> SeriesTZ:
@@ -140,44 +214,26 @@ def apply_full(P: NormalOperator, m: int, u: SeriesTZ) -> SeriesTZ:
 
     The output is truncated to the rectangle on which every convolution
     is complete given u's truncation: the t-window survives in full
-    whenever m matches the operator (losses are m_P - m), and the
-    z-window loses max(r - ord_z a_qr) orders.
+    whenever m matches the operator (losses are m_P - m, the least dn
+    of the stencil), and the z-window loses max(r - ord_z a_qr) orders
+    (the least dk).
     """
     N, K = u.n_order, u.k_order
-    rho_t = max(
-        (q - a.ord_t() for (q, _r), a in P.terms.items() if not a.is_zero()),
-        default=0,
-    )
-    rho_z = max(
-        (
-            r - min(kap for _nu, kap, _c in a.items())
-            for (_q, r), a in P.terms.items()
-            if not a.is_zero()
-        ),
-        default=0,
-    )
-    n_out = N + m - rho_t
-    k_out = K - rho_z
+    stencil, ff = _stencil(P, m, K)
+    n_out = N + min((dn for dn, *_e in stencil), default=m)
+    k_out = K + min((dk for _dn, dk, *_e in stencil), default=0)
     if n_out < 0 or k_out < 0:
         raise ValueError("truncation too small for this operator")
 
-    ent: dict[tuple[int, int], Fraction] = {}
-    for q, r, items in _op_items(P):
-        for n2, k2, uc in u.items():
-            fT = _t_factor(n2, q, m)
-            if fT == 0:
-                continue
-            fZ = _ff_int(k2, r)
-            if fZ == 0:
-                continue
-            base = uc * fT * fZ
-            tn0 = n2 + m - q
-            for nu, kap, c in items:
-                tn = tn0 + nu
-                tk = k2 - r + kap
-                if 0 <= tn <= n_out and 0 <= tk <= k_out:
-                    p = (tn, tk)
-                    ent[p] = ent.get(p, Fraction(0)) + c * base
+    rows = _dense(u)
+    ent = {}
+    for n in range(n_out + 1):
+        D, live = _row(stencil, n, m, N)
+        acc = [0] * (k_out + 1)
+        _gather(acc, live.items(), rows, n, ff)
+        for k, v in enumerate(acc):
+            if v:
+                ent[(n, k)] = v if D == 1 else _div(v, D)
     return SeriesTZ(ent, n_out, k_out)
 
 
@@ -191,27 +247,29 @@ def solve_theta(T: ThetaOperator, n: int, f: SeriesZ, K: int) -> SeriesZ:
         raise ValueError("inhomogeneity truncated below the requested order")
     if T.min_a_window() < K:
         raise ValueError("theta coefficients truncated below the requested order")
-    W = IndicialPolynomial.from_theta(T)
-    wk = W.row_poly(n)
-    active = [
-        (t.i, t.j, t.w(n), t.a)
-        for t in T.terms
-        if t.j > 0 and t.w(n) != 0
-    ]
+    wk = IndicialPolynomial.from_theta(T).row_poly(n)
+    active = [(t.i, t.j, t.w(n), t.a) for t in T.terms if t.j > 0 and t.w(n) != 0]
     u: list[Fraction] = []
     for k in range(K + 1):
-        acc = f.coeff(k)
-        for i, j, wv, a in active:
-            hi = min(k - j, a.order)
-            for l in range(hi + 1):
-                al = a.coeffs[l]
-                if al != 0:
-                    acc -= wv * al * Fraction(k - j - l) ** i * u[k - j - l]
         d = wk(k)
         if d == 0:
             raise ResonanceError(n, k)
-        u.append(acc / d)
+        u.append((f.coeff(k) - _shifted_sum(active, u, k)) / d)
     return SeriesZ(u, K)
+
+
+def _shifted_sum(active, u: list[Fraction], k: int) -> Fraction:
+    """The z-shifted part of a row's k-recurrence at k, given u below k.
+
+    active holds the row's nonvanishing z-shifted entries (i, j, w(n), a).
+    """
+    acc = Fraction(0)
+    for i, j, wv, a in active:
+        for l in range(min(k - j, a.order) + 1):
+            al = a.coeffs[l]
+            if al != 0:
+                acc += wv * al * Fraction(k - j - l) ** i * u[k - j - l]
+    return acc
 
 
 # ------------------------------------------------------------ sharpness
@@ -287,17 +345,8 @@ def adversarial(T: ThetaOperator, n: int, K: int) -> AdversarialPair:
     u_n = SeriesZ(u, K)
 
     # f re-derived from the full recurrence so that solve_theta(f) == u
-    f = [wk(0)]
     active = [(t.i, t.j, t.w(n), t.a) for t in T.terms if t.j > 0 and t.w(n) != 0]
-    for k in range(1, K + 1):
-        acc = wk(k) * u[k]
-        for i, j, wv, a in active:
-            hi = min(k - j, a.order)
-            for l in range(hi + 1):
-                al = a.coeffs[l]
-                if al != 0:
-                    acc += wv * al * Fraction(k - j - l) ** i * u[k - j - l]
-        f.append(acc)
+    f = [wk(0)] + [wk(k) * u[k] + _shifted_sum(active, u, k) for k in range(1, K + 1)]
     f_n = SeriesZ(f, K)
 
     d1 = abs(w_star(n)) / Fraction(n) ** w_star.degree
@@ -321,36 +370,6 @@ def adversarial(T: ThetaOperator, n: int, K: int) -> AdversarialPair:
 
 
 _ZERO_POLY = Poly()
-
-
-def _pow_cmp_products(lhs, rhs) -> int:
-    """Exact sign of lhs - rhs for products of (Fraction base, Fraction exp).
-
-    All exponents are scaled by their common denominator so both sides
-    become integer-exponent rational products.
-    """
-    from math import lcm
-
-    dens = [e.denominator for _b, e in lhs] + [e.denominator for _b, e in rhs]
-    L = lcm(*dens) if dens else 1
-
-    def build(side):
-        num, den = 1, 1
-        for b, e in side:
-            ei = int(e * L)
-            if ei >= 0:
-                num *= b.numerator**ei
-                den *= b.denominator**ei
-            else:
-                num *= b.denominator**-ei
-                den *= b.numerator**-ei
-        return num, den
-
-    ln, ld = build(lhs)
-    rn, rd = build(rhs)
-    a = ln * rd
-    b = rn * ld
-    return (a > b) - (a < b)
 
 
 @dataclass(frozen=True)
@@ -402,12 +421,12 @@ def verify_sharpness(pair: AdversarialPair) -> SharpnessCheck:
     # index of the minimal ratio over the initial segment
     c_idx = 0
     for m in range(1, min(m0, M) + 1):
-        if _pow_cmp_products(ratio_terms(m), ratio_terms(c_idx)) < 0:
+        if not _pow_products_le(ratio_terms(c_idx), ratio_terms(m)):
             c_idx = m
 
     first_violation = None
     for m in range(M + 1):
-        if _pow_cmp_products(ratio_terms(m), ratio_terms(c_idx)) < 0:
+        if not _pow_products_le(ratio_terms(c_idx), ratio_terms(m)):
             first_violation = m
             break
 

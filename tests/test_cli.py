@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import shrinkdisc.solver
 from shrinkdisc.cli import main
 
 
@@ -219,6 +220,92 @@ class TestErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "UsageError"
+
+    @pytest.mark.parametrize("grid", ["3", "a,b", "4,4,4", ""])
+    def test_malformed_grid_is_usage_error(self, grid, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--fixture", "geometric", "--grid", grid, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        data = json.loads(capsys.readouterr().err)
+        assert data["error"] == "UsageError"
+        assert "--grid" in data["message"]
+
+    def test_small_grid_reaches_certify(self, tmp_path, capsys):
+        code, _out, err = run(
+            capsys, "analyze", "--fixture", "geometric", "--grid", "4,4", "--out-dir", str(tmp_path)
+        )
+        assert code == 1
+        data = json.loads(err)
+        assert data["error"] == "ValueError"
+        assert ">= 8" in data["message"]
+
+    @pytest.mark.parametrize(
+        "fixture",
+        [
+            "geometric:3",
+            "geometric:",
+            "geometric-general:3",
+            "geometric-general:3:2:1",
+            "geometric-general:a:2",
+            "constant-diagonal:4:5",
+            "constant-diagonal:x",
+            "constant-diagonal:1/2",
+            "nosuch",
+        ],
+    )
+    def test_bad_fixture_spec(self, fixture, tmp_path, capsys):
+        code, _out, err = run(
+            capsys, "analyze", "--fixture", fixture, "--grid", "16,16", "--out-dir", str(tmp_path)
+        )
+        assert code == 1
+        data = json.loads(err)
+        assert data["error"] == "CliError"
+        assert fixture in data["message"]
+
+    @pytest.mark.parametrize("fixture", ["geometric-general:2:1", "constant-diagonal:5"])
+    def test_good_fixture_spec(self, fixture, tmp_path, capsys):
+        code, _out, _err = run(
+            capsys, "analyze", "--fixture", fixture, "--N", "6", "--K", "6",
+            "--grid", "16,16", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+
+    def test_residual_mismatch_is_error(self, tmp_path, capsys, monkeypatch):
+        div = shrinkdisc.solver._div
+        monkeypatch.setattr(
+            shrinkdisc.solver, "_div", lambda num, den: div(num, den) + (div(num, den) == 125)
+        )
+        code, out, err = run(
+            capsys, "solve", "--fixture", "geometric", "--N", "8", "--K", "8",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 1 and out == ""
+        data = json.loads(err)
+        assert data["error"] == "ResidualError"
+        assert data["detail"] == {"n": 4, "k": 3}
+        assert not (tmp_path / "solve.json").exists()
+
+    def test_no_check_residual_reported(self, tmp_path, capsys):
+        code, out, _err = run(
+            capsys, "solve", "--fixture", "geometric", "--N", "6", "--K", "6",
+            "--no-check-residual", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert json.loads(out)["residual_checked"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sharpness", "--fixture", "geometric", "--rows", "2"],
+            ["fit", "--solution", "x.csv", "--window-k", "1,b"],
+            ["fit", "--solution", "x.csv", "--window-n", "3"],
+        ],
+    )
+    def test_malformed_pairs_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
 
     def test_hypothesis_error(self, tmp_path, capsys):
         op = tmp_path / "op.txt"

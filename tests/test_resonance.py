@@ -1,13 +1,21 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import shrinkdisc
 
 from shrinkdisc import fixtures
 from shrinkdisc.analysis import analyze_operator
 from shrinkdisc.dsl import build_operator
 from shrinkdisc.polynomial import Poly
 from shrinkdisc.resonance import (
+    CertificateError,
     IndicialPolynomial,
+    _check_bound,
     certify,
     eval_W,
     liouville_demo,
@@ -108,6 +116,35 @@ class TestCertify:
         assert cert.verdict == "resonant"
         assert cert.witness == (29, 1)
         assert W.eval(*cert.witness) == 0
+
+
+class TestSoundnessGuard:
+    def test_bound_above_grid_min_rejected(self):
+        assert _check_bound(Fraction(2), Fraction(2)) == 2
+        with pytest.raises(CertificateError):
+            _check_bound(Fraction(3), Fraction(2))
+
+    def test_guard_runs_under_optimize(self):
+        # an inflated sign-definite bound must still be refused by certify
+        # when python -O has stripped every assert statement
+        code = (
+            "from fractions import Fraction\n"
+            "from shrinkdisc import resonance as r\n"
+            "from shrinkdisc.polynomial import Poly\n"
+            "r._sign_definite_bound = lambda W: Fraction(10**6)\n"
+            "try:\n"
+            "    r.certify(r.IndicialPolynomial({0: Poly([1])}), (8, 8))\n"
+            "except r.CertificateError:\n"
+            "    print('refused')\n"
+        )
+        src = str(Path(shrinkdisc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "refused"
 
 
 class TestLiouville:

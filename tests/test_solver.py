@@ -8,9 +8,11 @@ from shrinkdisc.analysis import analyze_operator, exponents
 from shrinkdisc.dsl import build_operator
 from shrinkdisc.resonance import IndicialPolynomial, ResonanceError
 from shrinkdisc.series import SeriesTZ, SeriesZ
+import shrinkdisc.solver
 from shrinkdisc.solver import (
     ConditionError,
     NoAdversarialDirectionError,
+    ResidualError,
     adversarial,
     apply_full,
     solve_full,
@@ -155,6 +157,25 @@ class TestSolveFull:
         with pytest.raises(ResonanceError) as err:
             solve_full(P, 0, SeriesTZ.zero(6, 8))
         assert (err.value.n, err.value.k) == (0, 5)
+
+    def test_corrupted_cell_fails_residual_check(self, monkeypatch):
+        # u_{4,3} = 5^3 is the only 125 in the 8x8 geometric table; bump it
+        div = shrinkdisc.solver._div
+        monkeypatch.setattr(
+            shrinkdisc.solver, "_div", lambda num, den: div(num, den) + (div(num, den) == 125)
+        )
+        src, params = fixtures.geometric()
+        P = build_operator(src, params, 8, 8)
+        g = fixtures.unit_column_rhs(8, 8)
+        assert solve_full(P, 0, g, check_residual=False).u.coeff(4, 3) == 126
+        with pytest.raises(ResidualError) as err:
+            solve_full(P, 0, g)
+        assert (err.value.n, err.value.k) == (4, 3)
+
+    def test_residual_checked_means_verified(self, geometric_small):
+        g = SeriesTZ.zero(8, 8)
+        assert solve_full(geometric_small, 0, g).residual_checked is True
+        assert solve_full(geometric_small, 0, g, check_residual=False).residual_checked is False
 
     def test_cascade_with_antiderivative(self):
         # m = 1 with a t-tail: solve, then check the residual window is full
