@@ -46,7 +46,6 @@ DEFAULTS = {
     "grid_k": 256,
     "s": None,
     "alpha": None,
-    "seed": 0,
     "window_k": None,
     "rows": "2,12",
     "terms": 3,
@@ -110,13 +109,14 @@ def _load_params(path: str | None) -> dict[str, SeriesTZ]:
     return out
 
 
-def _load_series(path: str) -> SeriesTZ:
+def _load_series(path: str, orders: tuple[int, int] | None = None) -> SeriesTZ:
+    """A series from JSON or CSV; a CSV's orders default to its last nonzero entry."""
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
         spec = json.loads(text)
         ent = {(int(n), int(k)): Fraction(v) for n, k, v in spec["coeffs"]}
         return SeriesTZ(ent, int(spec["N"]), int(spec["K"]))
-    return SeriesTZ.from_csv(text)
+    return SeriesTZ.from_csv(text, *(orders or ()))
 
 
 def _resolve_operator(args) -> tuple[str, dict]:
@@ -252,7 +252,7 @@ def cmd_solve(args) -> int:
 # -------------------------------------------------------------------- fit
 
 def cmd_fit(args) -> int:
-    u = _load_series(args.solution)
+    u = _load_series(args.solution, args.orders)
     s = Fraction(0) if args.s is None else _frac(args.s)
     alpha = None if args.alpha is None else _frac(args.alpha)
     report = analyze_table(u, s, n_window=args.window_n, k_window=args.window_k, alpha=alpha)
@@ -390,7 +390,6 @@ def _add_common(sp, *, operator=True):
     sp.add_argument("--grid", type=_int_pair, default=None, help="resonance grid 'N0,K0'")
     sp.add_argument("--s", default=None, help="Gevrey order override, as 'p/q'")
     sp.add_argument("--out-dir", default=DEFAULTS["out_dir"])
-    sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     sp.add_argument("--svg", action="store_true")
 
 
@@ -412,12 +411,15 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("fit", description="radius table and exponent fits")
     sp.add_argument("--solution", required=True, help="solution CSV from a prior solve")
+    sp.add_argument(
+        "--orders", type=_int_pair, default=None,
+        help="orders 'N,K' of a CSV solution (default: its last nonzero entry)",
+    )
     sp.add_argument("--s", default=None)
     sp.add_argument("--alpha", default=None, help="exact alpha for bound constants")
     sp.add_argument("--window-k", type=_int_pair, default=DEFAULTS["window_k"], help="'lo,hi'")
     sp.add_argument("--window-n", type=_int_pair, default=None, help="'lo,hi'")
     sp.add_argument("--out-dir", default=DEFAULTS["out_dir"])
-    sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     sp.add_argument("--svg", action="store_true")
 
     sp = sub.add_parser("sharpness", description="adversarial growth table")
@@ -428,11 +430,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--terms", type=int, default=DEFAULTS["terms"])
     sp.add_argument("--grid", type=_int_pair, default="4000,4000")
     sp.add_argument("--out-dir", default=DEFAULTS["out_dir"])
-    sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
 
     sp = sub.add_parser("demo", description="run the pipeline on the built-ins")
     sp.add_argument("--out-dir", default=DEFAULTS["out_dir"])
-    sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
 
     return ap
 

@@ -158,41 +158,24 @@ def _solve_normal_equations(rows, ys):
 def _pow_products_le(lhs, rhs) -> bool:
     """Exact lhs <= rhs for products of (positive Fraction, Fraction exponent).
 
-    A bit-length prefilter decides all but near-ties without building
-    the full integer products.
+    Both sides are raised to the common denominator L of the exponents
+    and every base splits into numerator and denominator; the factors
+    with negative exponents move across, leaving (int, int) products
+    for _int_products_le.
     """
-    dens = [e.denominator for _b, e in lhs] + [e.denominator for _b, e in rhs]
-    L = math.lcm(*dens) if dens else 1
-
-    def factors(side):
-        fs = []
+    L = math.lcm(*(e.denominator for _b, e in (*lhs, *rhs)))
+    left: list[tuple[int, int]] = []
+    right: list[tuple[int, int]] = []
+    for side, same, across in ((lhs, left, right), (rhs, right, left)):
         for b, e in side:
             ei = int(e * L)
-            if ei:
-                fs.append((b.numerator, ei))
-                fs.append((b.denominator, -ei))
-        return fs
-
-    lf = factors(lhs)
-    rf = factors(rhs)
-    # move negative exponents across
-    lnum = [(b, e) for b, e in lf if e > 0] + [(b, -e) for b, e in rf if e < 0]
-    rnum = [(b, e) for b, e in rf if e > 0] + [(b, -e) for b, e in lf if e < 0]
-
-    def bounds(fs):
-        lo = sum(e * (b.bit_length() - 1) for b, e in fs)
-        hi = sum(e * b.bit_length() for b, e in fs)
-        return lo, hi
-
-    llo, lhi = bounds(lnum)
-    rlo, rhi = bounds(rnum)
-    if lhi < rlo:
-        return True
-    if llo > rhi:
-        return False
-    lprod = math.prod(b**e for b, e in lnum) if lnum else 1
-    rprod = math.prod(b**e for b, e in rnum) if rnum else 1
-    return lprod <= rprod
+            if ei > 0:
+                same.append((b.numerator, ei))
+                across.append((b.denominator, ei))
+            elif ei < 0:
+                same.append((b.denominator, -ei))
+                across.append((b.numerator, -ei))
+    return _int_products_le(left, right)
 
 
 def bound_violation(

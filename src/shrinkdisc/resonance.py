@@ -33,7 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate, repeat
+from math import factorial, lcm
+from operator import add, sub
 
 from .analysis import ThetaOperator
 from .polynomial import Poly
@@ -58,12 +60,24 @@ def _check_bound(bound: Fraction, grid_min: Fraction) -> Fraction:
 
 
 class IndicialPolynomial:
-    """W(n, k) = sum_i c_i(n) k^i with exact polynomial coefficients."""
+    """W(n, k) = sum_i c_i(n) k^i with exact polynomial coefficients.
+
+    The denominator-cleared integer form is built once: D is the lcm of
+    the denominators of every coefficient and C[i] lists the integer
+    coefficients of C_i = D c_i, lowest degree first, so that
+    D W(n, k) = sum_i C_i(n) k^i is an integer polynomial.
+    """
 
     def __init__(self, cs: dict[int, Poly]):
         self.cs = {i: p for i, p in sorted(cs.items()) if not p.is_zero()}
         if not self.cs:
             raise ValueError("indicial polynomial is identically zero")
+        self.D = lcm(*(c.denominator for p in self.cs.values() for c in p.coeffs))
+        self.C = [
+            [c.numerator * (self.D // c.denominator) for c in self.cs[i].coeffs]
+            if i in self.cs else []
+            for i in range(self.p + 1)
+        ]
 
     @classmethod
     def from_theta(cls, T: ThetaOperator) -> "IndicialPolynomial":
@@ -79,22 +93,24 @@ class IndicialPolynomial:
         return max(self.cs)
 
     def eval(self, n, k) -> Fraction:
-        acc = Fraction(0)
-        for i in range(self.p, -1, -1):
-            c = self.cs.get(i)
-            acc = acc * k + (c(n) if c is not None else 0)
-        return acc
+        return Fraction(_horner(self.int_row(n), k), self.D)
+
+    def int_row(self, n: int) -> list[int]:
+        """D W(n, .) as trimmed integer coefficients in k."""
+        return _trim([_horner(C, n) for C in self.C])
+
+    def int_column(self, k: int) -> list[int]:
+        """D W(., k) as trimmed integer coefficients in n."""
+        out = [0] * max(map(len, self.C))
+        for i, C in enumerate(self.C):
+            w = k**i
+            for t, c in enumerate(C):
+                out[t] += w * c
+        return _trim(out)
 
     def row_poly(self, n) -> Poly:
         """W(n, .) as a polynomial in k."""
-        return Poly([self.cs.get(i, Poly())(n) for i in range(self.p + 1)])
-
-    def column_poly(self, k) -> Poly:
-        """W(., k) as a polynomial in n."""
-        out = Poly()
-        for i, c in self.cs.items():
-            out = out + c.scale(Fraction(k) ** i)
-        return out
+        return Poly(Fraction(c, self.D) for c in self.int_row(n))
 
 
 def eval_W(W: IndicialPolynomial, n: int, k: int) -> Fraction:
@@ -103,35 +119,65 @@ def eval_W(W: IndicialPolynomial, n: int, k: int) -> Fraction:
     return W.eval(n, k)
 
 
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _trim(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _values(coeffs, start: int, count: int) -> list[int]:
+    """The integer polynomial at x = start, ..., start + count - 1.
+
+    Horner gives the first d + 1 values; forward differences carry them
+    on, the constant d-th difference summed up d times by accumulate.
+    """
+    d = len(coeffs) - 1
+    if d < 1 or count <= d + 1:
+        return [_horner(coeffs, x) for x in range(start, start + count)]
+    head = [_horner(coeffs, x) for x in range(start, start + d + 1)]
+    diffs = []
+    for _ in range(d + 1):
+        diffs.append(head[0])
+        head = list(map(sub, head[1:], head))
+    seq = repeat(diffs[d], count - d)
+    for j in range(d - 1, -1, -1):
+        seq = accumulate(seq, initial=diffs[j])
+    return list(seq)
+
+
 _MAX_SCAN = 1 << 14
 
 
-def _poly_tail_lower(q: Poly, start: int):
+def _poly_tail_lower(q: list[int], start: int):
     """Exact positive lower bound of |q(x)| over integers x >= start.
 
-    Returns (bound, root): root is an integer zero if one exists (bound
-    is then None); both None means the domination threshold was too far
-    out to scan.  Past the threshold 2*sum|lower coeffs|/|lead| the
-    leading term contributes at least half of |q|.
+    q holds trimmed integer coefficients, lowest degree first.  Returns
+    (bound, root): root is an integer zero if one exists (bound is then
+    None); both None means the domination threshold was too far out to
+    scan.  Past the threshold 2*sum|lower coeffs|/|lead| the leading
+    term contributes at least half of |q|.
     """
-    if q.is_zero():
+    if not q:
         return None, start
-    d = q.degree
+    d = len(q) - 1
+    lead = abs(q[-1])
     if d == 0:
-        return abs(q.leading), None
-    rest = sum((abs(c) for c in q.coeffs[:-1]), Fraction(0))
-    theta = 2 * rest / abs(q.leading)
-    cut = max(start, int(theta) + 1)
+        return lead, None
+    cut = max(start, 2 * sum(map(abs, q[:-1])) // lead + 1)
     if cut - start > _MAX_SCAN:
         return None, None
-    best = None
-    for x in range(start, cut + 1):
-        v = abs(q(x))
-        if v == 0:
-            return None, x
-        best = v if best is None else min(best, v)
-    tail = abs(q.leading) * Fraction(max(cut, 1)) ** d / 2
-    return (tail if best is None else min(best, tail)), None
+    vals = _values(q, start, cut - start + 1)
+    best = min(map(abs, vals))
+    if best == 0:
+        return None, start + vals.index(0)
+    return min(best, Fraction(lead * max(cut, 1) ** d, 2)), None
 
 
 @dataclass(frozen=True)
@@ -160,67 +206,48 @@ def certify(W: IndicialPolynomial, grid: tuple[int, int] = (256, 256)) -> Resona
     if N0 < 8 or K0 < 8:
         raise ValueError("grid bounds must be >= 8")
 
-    grid_min = None
-    witness = None
-    for n in range(N0 + 1):
-        row = W.row_poly(n)
-        for k in range(K0 + 1):
-            v = abs(row(k))
-            if v == 0:
-                witness = (n, k)
-                break
-            grid_min = v if grid_min is None else min(grid_min, v)
-        if witness:
-            break
+    witness, best = _scan(W, N0, K0)
+    bound, tail = None, "none"
+    if witness is None:
+        grid_min = Fraction(best, W.D)
+        bound = _sign_definite_bound(W)
+        if bound is not None:
+            tail = "sign_definite"
+        else:
+            scaled, witness = _leading_term_bound(W, N0, K0, best)
+            if scaled is not None:
+                bound, tail = Fraction(scaled, W.D), "leading_term"
     if witness is not None:
         return ResonanceCertificate(
-            verdict="resonant",
-            C0_lower_bound=None,
-            grid=grid,
-            tail_argument="none",
-            witness=witness,
-            grid_min=None,
+            verdict="resonant", C0_lower_bound=None, grid=grid, tail_argument="none",
+            witness=witness, grid_min=None,
         )
-
-    bound = _sign_definite_bound(W)
-    if bound is not None:
-        return ResonanceCertificate(
-            verdict="certified_strong",
-            C0_lower_bound=_check_bound(bound, grid_min),
-            grid=grid,
-            tail_argument="sign_definite",
-            witness=None,
-            grid_min=grid_min,
-        )
-
-    bound, far_witness = _leading_term_bound(W, N0, K0, grid_min)
-    if far_witness is not None:
-        return ResonanceCertificate(
-            verdict="resonant",
-            C0_lower_bound=None,
-            grid=grid,
-            tail_argument="none",
-            witness=far_witness,
-            grid_min=None,
-        )
-    if bound is not None:
-        return ResonanceCertificate(
-            verdict="certified_strong",
-            C0_lower_bound=_check_bound(bound, grid_min),
-            grid=grid,
-            tail_argument="leading_term",
-            witness=None,
-            grid_min=grid_min,
-        )
-
     return ResonanceCertificate(
-        verdict="grid_verified_only",
-        C0_lower_bound=None,
+        verdict="grid_verified_only" if bound is None else "certified_strong",
+        C0_lower_bound=None if bound is None else _check_bound(bound, grid_min),
         grid=grid,
-        tail_argument="none",
+        tail_argument=tail,
         witness=None,
         grid_min=grid_min,
     )
+
+
+def _scan(W: IndicialPolynomial, N0: int, K0: int):
+    """Row-major scan of D W over 0..N0 x 0..K0: (first zero, None) or (None, least |D W|).
+
+    The integer row coefficients C_i(n) are evaluated once per row and
+    the row's K0 + 1 values come from _values.
+    """
+    best = None
+    cols = [_values(C, 0, N0 + 1) for C in W.C]
+    for n, row in enumerate(zip(*cols)):
+        vals = _values(row, 0, K0 + 1)
+        low = min(map(abs, vals))
+        if low == 0:
+            return (n, vals.index(0)), None
+        if best is None or low < best:
+            best = low
+    return None, best
 
 
 def _sign_definite_bound(W: IndicialPolynomial):
@@ -235,66 +262,67 @@ def _sign_definite_bound(W: IndicialPolynomial):
     return abs(c0.coeffs[0])
 
 
-def _leading_term_bound(W: IndicialPolynomial, N0: int, K0: int, grid_min: Fraction):
+def _leading_term_bound(W: IndicialPolynomial, N0: int, K0: int, grid_min: int):
     """Strong bound via domination of the k-leading coefficient c_p.
 
     Splits the quadrant into the grid plus three tails and bounds each
-    exactly.  Returns (bound, witness); witness reports an exact zero
-    found beyond the grid.  (None, None) means the argument does not
-    apply, not that the bound fails.
+    exactly, all on the integer form: grid_min and the bound returned
+    are minima of |D W|.  Returns (bound, witness); witness reports an
+    exact zero found beyond the grid.  (None, None) means the argument
+    does not apply, not that the bound fails.
     """
     p = W.p
-    cp = W.cs[p]
-    lower = [W.cs.get(i, Poly()) for i in range(p)]
-    if any(c.degree > cp.degree for c in lower if not c.is_zero()):
+    cp, lower = W.C[p], W.C[:p]
+    if any(len(c) > len(cp) for c in lower):
         return None, None  # a lower power outgrows c_p in n
 
     bounds = [grid_min]
 
     # n <= N0, k > K0: one polynomial row at a time
     for n in range(N0 + 1):
-        b, root = _poly_tail_lower(W.row_poly(n), K0 + 1)
+        b, root = _poly_tail_lower(W.int_row(n), K0 + 1)
         if b is None:
             return (None, (n, root)) if root is not None else (None, None)
         bounds.append(b)
 
     # n > N0, k <= K0: one polynomial column at a time
     for k in range(K0 + 1):
-        b, root = _poly_tail_lower(W.column_poly(k), N0 + 1)
+        b, root = _poly_tail_lower(W.int_column(k), N0 + 1)
         if b is None:
             return (None, (root, k)) if root is not None else (None, None)
         bounds.append(b)
 
     # n > N0, k > K0: |W(n,k)| >= |c_p(n)| k^p / 2 holds once
-    # k >= T(n) := 2 sum_{i<p} |c_i(n)| / |c_p(n)|.  T is checked
+    # k >= T(n) := 2 sum_{i<p} |c_i(n)| / |c_p(n)|.  T <= K0 is checked
     # exactly on the strip where c_p's leading term has not started
-    # dominating, and bounded by an n-free constant past it.
+    # dominating, and through an n-free bound past it.  T is a ratio,
+    # the same for W and D W.
     cp_min, _cp_root = _poly_tail_lower(cp, N0 + 1)
     if cp_min is None:
         return None, None  # c_p vanishes (or dominates too late) out there
-    rest_sum = sum((c.abs_coeff_sum() for c in lower), Fraction(0))
-    gap = max(
-        (c.degree for c in lower if not c.is_zero()), default=0
-    ) - cp.degree  # <= 0 by the guard above
-    if cp.degree > 0:
-        theta = 2 * sum((abs(c) for c in cp.coeffs[:-1]), Fraction(0)) / abs(cp.leading)
-        cut = max(N0 + 1, int(theta) + 1)
+    rest_sum = sum(abs(c) for C in lower for c in C)
+    lead = abs(cp[-1])
+    if len(cp) > 1:
+        cut = max(N0 + 1, 2 * sum(map(abs, cp[:-1])) // lead + 1)
         if cut - N0 > _MAX_SCAN:
             return None, None
         # for n >= cut:  sum |c_i(n)| <= rest_sum n^{deg cp + gap} while
-        # |c_p(n)| >= lead n^{deg cp} / 2, so T(n) decays like n^gap
-        t_max = 4 * rest_sum / abs(cp.leading) * Fraction(N0 + 1) ** gap
-        for n in range(N0 + 1, cut + 1):
-            cpn = abs(cp(n))
-            if cpn == 0:
+        # |c_p(n)| >= lead n^{deg cp} / 2, so T(n) decays like n^gap and
+        # stays below 4 rest_sum (N0+1)^gap / lead
+        gap = max((len(c) for c in lower if c), default=1) - len(cp)  # <= 0 by the guard above
+        if 4 * rest_sum > K0 * lead * (N0 + 1) ** -gap:
+            return None, None
+        count = cut - N0
+        cpv = _values(cp, N0 + 1, count)
+        rest = [0] * count
+        for C in lower:
+            rest = list(map(add, rest, map(abs, _values(C, N0 + 1, count))))
+        for r, c in zip(rest, cpv):
+            if c == 0 or 2 * r > K0 * abs(c):
                 return None, None
-            tn = 2 * sum((abs(c(n)) for c in lower), Fraction(0)) / cpn
-            t_max = max(t_max, tn)
-    else:
-        t_max = 2 * rest_sum / abs(cp.coeffs[0]) if rest_sum else Fraction(0)
-    if t_max > K0:
+    elif 2 * rest_sum > K0 * lead:
         return None, None
-    bounds.append(cp_min * Fraction(K0 + 1) ** p / 2)
+    bounds.append(Fraction(cp_min * (K0 + 1) ** p, 2))
 
     return min(bounds), None
 

@@ -166,10 +166,16 @@ def solve_full(P: NormalOperator, m: int, g: SeriesTZ, check_residual: bool = Tr
     Preconditions are the solvability conditions at this truncation:
     the reduction must yield lower ordinate 0 (else ConditionError) and
     the diagonal must never vanish on the table (else ResonanceError
-    carrying the failing (n, k)).  With check_residual the solved table
+    carrying the failing (n, k)).  P's coefficients must be known on g's
+    whole window (else ValueError).  With check_residual the solved table
     is applied back and must reproduce g on the output window, else
     ResidualError names the first differing (n, k).
     """
+    if P.n_order < g.n_order or P.k_order < g.k_order:
+        raise ValueError(
+            f"operator coefficients truncated at orders ({P.n_order}, {P.k_order}), "
+            f"below the right side's ({g.n_order}, {g.k_order})"
+        )
     T = reduce_to_theta(principal_part(P, m), m)
     if T.l != 0:
         raise ConditionError(

@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+import shrinkdisc.cli
 import shrinkdisc.solver
+from shrinkdisc import fixtures
 from shrinkdisc.cli import main
+from shrinkdisc.dsl import build_operator
+from shrinkdisc.series import SeriesTZ
 
 
 def run(capsys, *argv):
@@ -176,6 +180,36 @@ class TestDeterminism:
         assert (tmp_path / "radii.csv").read_text().splitlines()[0] == "n,r_hat"
         assert data["bounds"]["B"] is not None
 
+    @pytest.mark.parametrize("N, K", [(8, 9), (12, 33)])
+    def test_fit_orders_keeps_trailing_zero_column(self, N, K, tmp_path, capsys, monkeypatch):
+        # u(n, k) of geometric_general(2, 2) vanishes at odd k, so the
+        # solved table ends in an all-zero column that only --orders keeps
+        code, _out, _err = run(
+            capsys, "solve", "--fixture", "geometric-general:2:2", "--N", str(N), "--K", str(K),
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        src, params = fixtures.geometric_general(2, 2)
+        P = build_operator(src, params, N, K)
+        solved = shrinkdisc.solver.solve_full(P, 0, fixtures.unit_column_rhs(N, K)).u
+        sol = tmp_path / "solution.csv"
+        assert SeriesTZ.from_csv(sol.read_text()) != solved
+
+        seen = []
+        fit = shrinkdisc.cli.analyze_table
+
+        def recording_fit(u, *args, **kwargs):
+            seen.append(u)
+            return fit(u, *args, **kwargs)
+
+        monkeypatch.setattr(shrinkdisc.cli, "analyze_table", recording_fit)
+        code, _out, _err = run(
+            capsys, "fit", "--solution", str(sol), "--orders", f"{N},{K}", "--s", "0",
+            "--out-dir", str(tmp_path / "fit"),
+        )
+        assert seen == [solved]
+        assert code == (1 if K == 9 else 0)  # 8 x 9 holds too few radii for the fit itself
+
 
 class TestErrors:
     def test_resonance_error_json(self, tmp_path, capsys):
@@ -306,6 +340,33 @@ class TestErrors:
             main(argv)
         assert exc.value.code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+
+    def test_truncated_coefficients_are_an_error(self, tmp_path, capsys):
+        # z*p is differentiated once by normal ordering, so p given at
+        # (18, 18) cannot drive an 18 x 18 solve
+        op = tmp_path / "op.txt"
+        op.write_text("3 + (t*dt + 1)*(z*dz + 2)*(1 + z*p)\n")
+        coeffs = [[n, k, f"{(n * 19 + k) % 7 - 3}/{k % 4 + 1}"] for n in range(19) for k in range(19)]
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"p": {"N": 18, "K": 18, "coeffs": coeffs}}))
+        code, _out, err = run(
+            capsys, "solve", "--operator", str(op), "--params", str(params),
+            "--N", "18", "--K", "18", "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        data = json.loads(err)
+        assert data["error"] == "ValueError"
+        assert "(17, 17)" in data["message"] and "(18, 18)" in data["message"]
+        assert not (tmp_path / "out" / "solution.csv").exists()
+
+    def test_seed_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--fixture", "geometric", "--seed", "1"])
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+        code, out, _err = run(capsys, "--print-config")
+        assert code == 0
+        assert "seed" not in dict(ln.split("=", 1) for ln in out.strip().splitlines())
 
     def test_hypothesis_error(self, tmp_path, capsys):
         op = tmp_path / "op.txt"

@@ -2,9 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkdisc.growth import (
     RadiusIndeterminateError,
+    _pow_products_le,
     analyze_table,
     bound_violation,
     fit_alpha,
@@ -127,6 +130,25 @@ class TestLemmaSuite:
         rep = lemma_suite(k_max=60)
         assert rep.ok
         assert rep.checked[0] > 0 and rep.checked[1] > 0 and rep.checked[2] > 0
+
+
+_factor = st.tuples(
+    st.builds(Fraction, st.integers(1, 40), st.integers(1, 40)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_factor, max_size=4), st.lists(_factor, max_size=4))
+def test_pow_products_le_matches_exact_powers(lhs, rhs):
+    # both sides raised to the common exponent denominator L are exact
+    L = math.lcm(*(e.denominator for _b, e in lhs + rhs))
+
+    def power(side):
+        return math.prod((b ** int(e * L) for b, e in side), start=Fraction(1))
+
+    assert _pow_products_le(lhs, rhs) == (power(lhs) <= power(rhs))
+    assert _pow_products_le(lhs, lhs)
 
 
 class TestBoundConstants:

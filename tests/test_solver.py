@@ -172,6 +172,17 @@ class TestSolveFull:
             solve_full(P, 0, g)
         assert (err.value.n, err.value.k) == (4, 3)
 
+    def test_truncated_coefficients_refused(self):
+        # normal ordering differentiates z*p once, so a dense p given at
+        # (18, 18) leaves P known only to (17, 17): the 18 x 18 window
+        # cannot be solved from it
+        p = random_series(random.Random(18), 18, 18)
+        P = build_operator("3 + (t*dt + 1)*(z*dz + 2)*(1 + z*p)", {"p": p}, 18, 18)
+        assert (P.n_order, P.k_order) == (17, 17)
+        with pytest.raises(ValueError, match=r"\(17, 17\).*\(18, 18\)"):
+            solve_full(P, 0, random_series(random.Random(7), 18, 18))
+        assert solve_full(P, 0, random_series(random.Random(7), 17, 17)).residual_checked
+
     def test_residual_checked_means_verified(self, geometric_small):
         g = SeriesTZ.zero(8, 8)
         assert solve_full(geometric_small, 0, g).residual_checked is True
