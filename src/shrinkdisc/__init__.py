@@ -52,7 +52,6 @@ from .resonance import (
     ResonanceCertificate,
     ResonanceError,
     certify,
-    eval_W,
     liouville_demo,
 )
 from .series import (

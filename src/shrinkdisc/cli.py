@@ -86,7 +86,11 @@ def _write(path: Path, text: str):
 
 
 def _frac(text: str) -> Fraction:
-    return Fraction(text)
+    """'p/q' as a Fraction; argparse turns the error into a JSON usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational 'p/q', got {text!r}") from None
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -210,10 +214,7 @@ def run_analyze(source: str, params: dict, N: int, K: int, grid, s_override):
 
 def cmd_analyze(args) -> int:
     source, params = _resolve_operator(args)
-    s_override = None if args.s is None else _frac(args.s)
-    out, verdict = run_analyze(
-        source, params, args.N, args.K, (args.grid_n, args.grid_k), s_override
-    )
+    out, verdict = run_analyze(source, params, args.N, args.K, (args.grid_n, args.grid_k), args.s)
     out_dir = Path(args.out_dir)
     _write(out_dir / "analysis.json", _json_text(out))
     if args.svg and verdict is not None and verdict.stable_polygon is not None:
@@ -253,9 +254,7 @@ def cmd_solve(args) -> int:
 
 def cmd_fit(args) -> int:
     u = _load_series(args.solution, args.orders)
-    s = Fraction(0) if args.s is None else _frac(args.s)
-    alpha = None if args.alpha is None else _frac(args.alpha)
-    report = analyze_table(u, s, n_window=args.window_n, k_window=args.window_k, alpha=alpha)
+    report = analyze_table(u, args.s, n_window=args.window_n, k_window=args.window_k, alpha=args.alpha)
     out_dir = Path(args.out_dir)
     _write(out_dir / "growth.json", _json_text(report.to_json_dict()))
     radii_lines = ["n,r_hat"] + [f"{n},{report.radii[n]!r}" for n in sorted(report.radii)]
@@ -380,17 +379,13 @@ def cmd_demo(args) -> int:
 
 # ------------------------------------------------------------------- main
 
-def _add_common(sp, *, operator=True):
-    if operator:
-        sp.add_argument("--operator", help="path to an operator expression file")
-        sp.add_argument("--params", help="JSON sidecar with named parameter series")
-        sp.add_argument("--fixture", help="built-in operator, e.g. geometric or geometric-general:3:2")
+def _add_common(sp):
+    sp.add_argument("--operator", help="path to an operator expression file")
+    sp.add_argument("--params", help="JSON sidecar with named parameter series")
+    sp.add_argument("--fixture", help="built-in operator, e.g. geometric or geometric-general:3:2")
     sp.add_argument("--N", type=int, default=DEFAULTS["N"])
     sp.add_argument("--K", type=int, default=DEFAULTS["K"])
-    sp.add_argument("--grid", type=_int_pair, default=None, help="resonance grid 'N0,K0'")
-    sp.add_argument("--s", default=None, help="Gevrey order override, as 'p/q'")
     sp.add_argument("--out-dir", default=DEFAULTS["out_dir"])
-    sp.add_argument("--svg", action="store_true")
 
 
 def build_parser() -> _Parser:
@@ -400,6 +395,9 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("analyze", description="conditions, exponents, certificate")
     _add_common(sp)
+    sp.add_argument("--grid", type=_int_pair, default=None, help="resonance grid 'N0,K0'")
+    sp.add_argument("--s", type=_frac, default=None, help="Gevrey order override, as 'p/q'")
+    sp.add_argument("--svg", action="store_true")
 
     sp = sub.add_parser("solve", description="exact solution table")
     _add_common(sp)
@@ -415,8 +413,8 @@ def build_parser() -> _Parser:
         "--orders", type=_int_pair, default=None,
         help="orders 'N,K' of a CSV solution (default: its last nonzero entry)",
     )
-    sp.add_argument("--s", default=None)
-    sp.add_argument("--alpha", default=None, help="exact alpha for bound constants")
+    sp.add_argument("--s", type=_frac, default=Fraction(0), help="Gevrey order, as 'p/q'")
+    sp.add_argument("--alpha", type=_frac, default=None, help="exact alpha for bound constants")
     sp.add_argument("--window-k", type=_int_pair, default=DEFAULTS["window_k"], help="'lo,hi'")
     sp.add_argument("--window-n", type=_int_pair, default=None, help="'lo,hi'")
     sp.add_argument("--out-dir", default=DEFAULTS["out_dir"])

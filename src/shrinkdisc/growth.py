@@ -32,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby, islice
+from operator import itemgetter
 
 from .series import SeriesTZ, SeriesZ
 
@@ -155,27 +157,27 @@ def _solve_normal_equations(rows, ys):
 
 # ------------------------------------------------------- exact bound check
 
-def _pow_products_le(lhs, rhs) -> bool:
-    """Exact lhs <= rhs for products of (positive Fraction, Fraction exponent).
+def _gevrey_powers(c, b, n: int, alpha, s, L: int, step: int = 1):
+    """(c b^m n^{alpha step m} (step m)!^s)^L for m = 0, 1, ..., as (num, den) ints.
 
-    Both sides are raised to the common denominator L of the exponents
-    and every base splits into numerator and denominator; the factors
-    with negative exponents move across, leaving (int, int) products
-    for _int_products_le.
+    L must clear the denominators of alpha and s, and c, b are positive
+    rationals.  The pair is carried from m to m + 1 as a running product
+    with no gcd; a factor with a negative exponent multiplies den
+    instead of num.
     """
-    L = math.lcm(*(e.denominator for _b, e in (*lhs, *rhs)))
-    left: list[tuple[int, int]] = []
-    right: list[tuple[int, int]] = []
-    for side, same, across in ((lhs, left, right), (rhs, right, left)):
-        for b, e in side:
-            ei = int(e * L)
-            if ei > 0:
-                same.append((b.numerator, ei))
-                across.append((b.denominator, ei))
-            elif ei < 0:
-                same.append((b.denominator, -ei))
-                across.append((b.numerator, -ei))
-    return _int_products_le(left, right)
+    num, den = c.numerator**L, c.denominator**L
+    a, sl = int(alpha * L * step), int(s * L)
+    bn = b.numerator**L * n ** max(a, 0)
+    bd = b.denominator**L * n ** max(-a, 0)
+    k = 0
+    while True:
+        yield num, den
+        f = math.prod(range(k + 1, k + step + 1)) ** abs(sl)
+        k += step
+        if sl >= 0:
+            num, den = num * (bn * f), den * bd
+        else:
+            num, den = num * bn, den * (bd * f)
 
 
 def bound_violation(
@@ -183,20 +185,26 @@ def bound_violation(
 ):
     """First cell breaking |u_{n,k}| <= A(n) B^k n^{alpha k} k!^s, or None.
 
-    Rows start at n = 1 (the bound degenerates at n = 0).
+    Rows start at n = 1 (the bound degenerates at n = 0).  Both sides
+    are raised to L = lcm(den alpha, den s); each row's right side comes
+    from _gevrey_powers as num/den, and |u|^L <= num/den is checked by
+    cross-multiplying.  Cells are tried in row-major order.
     """
-    for n, k, v in u.items():
+    L = math.lcm(alpha.denominator, s.denominator)
+    for n, cells in groupby(u.items(), key=itemgetter(0)):
         if n < 1 or n not in A:
             continue
-        lhs = [(abs(v), Fraction(1))]
-        rhs = [
-            (A[n], Fraction(1)),
-            (B, Fraction(k)),
-            (Fraction(n), alpha * k),
-            (Fraction(math.factorial(k)), s),
-        ]
-        if not _pow_products_le(lhs, rhs):
-            return (n, k)
+        rhs = _gevrey_powers(A[n], B, n, alpha, s, L)
+        k_next = 0
+        for _n, k, v in cells:
+            num, den = next(islice(rhs, k - k_next, None))
+            k_next = k + 1
+            p, q = abs(v.numerator) ** L, v.denominator**L
+            # p den < 2^(bits(p) + bits(den)) <= 2^(bits(num) + bits(q) - 2) <= num q
+            # settles all but near-ties without multiplying out
+            if p.bit_length() + den.bit_length() > num.bit_length() + q.bit_length() - 2:
+                if p * den > num * q:
+                    return (n, k)
     return None
 
 
@@ -469,15 +477,18 @@ def analyze_table(
         n_window = (1, u.n_order)
     if k_window is None:
         k_window = default_window(u.k_order)
+    rows: dict[int, list] = {}
+    for n, k, v in u.items():
+        rows.setdefault(n, [0] * (u.k_order + 1))[k] = v
     radii = {}
     for n in range(n_window[0], n_window[1] + 1):
         try:
-            radii[n] = radius_estimate(u.row(n), s, k_window)
+            radii[n] = radius_estimate(SeriesZ(rows.get(n, ()), u.k_order), s, k_window)
         except RadiusIndeterminateError:
             continue
     fit = fit_alpha(radii)
     mid = sorted(radii)[len(radii) // 2]
-    s_hat = fit_gevrey(u.row(mid), k_window)
+    s_hat = fit_gevrey(SeriesZ(rows[mid], u.k_order), k_window)
     bound_A = bound_B = None
     if alpha is not None:
         bound_A, bound_B = minimal_bound_constants(u, alpha, s)

@@ -93,6 +93,8 @@ class IndicialPolynomial:
         return max(self.cs)
 
     def eval(self, n, k) -> Fraction:
+        if n < 0 or k < 0:
+            raise ValueError("indices must be >= 0")
         return Fraction(_horner(self.int_row(n), k), self.D)
 
     def int_row(self, n: int) -> list[int]:
@@ -107,16 +109,6 @@ class IndicialPolynomial:
             for t, c in enumerate(C):
                 out[t] += w * c
         return _trim(out)
-
-    def row_poly(self, n) -> Poly:
-        """W(n, .) as a polynomial in k."""
-        return Poly(Fraction(c, self.D) for c in self.int_row(n))
-
-
-def eval_W(W: IndicialPolynomial, n: int, k: int) -> Fraction:
-    if n < 0 or k < 0:
-        raise ValueError("indices must be >= 0")
-    return W.eval(n, k)
 
 
 def _horner(coeffs, x):

@@ -30,6 +30,10 @@ a pure one-step recurrence along the arithmetic progression k = m*j.
 On that progression the solution grows at least like
 C(n) D^k k!^s n^{alpha k}, with D assembled from the explicit
 polynomial data rather than an existence argument.
+
+``solve_theta`` and ``adversarial`` share one integer row recurrence:
+``_theta_row`` compiles row n once, clearing its denominators with one
+integer and keeping only the nonzero coefficients of each a(z).
 """
 from __future__ import annotations
 
@@ -40,9 +44,9 @@ from operator import add, mul
 
 from .analysis import ThetaOperator, exponents, principal_part, reduce_to_theta
 from .dsl import NormalOperator
-from .growth import _pow_products_le
+from .growth import _gevrey_powers
 from .polynomial import Poly
-from .resonance import IndicialPolynomial, ResonanceError
+from .resonance import IndicialPolynomial, ResonanceError, _values
 from .series import SeriesTZ, SeriesZ
 
 
@@ -253,28 +257,52 @@ def solve_theta(T: ThetaOperator, n: int, f: SeriesZ, K: int) -> SeriesZ:
         raise ValueError("inhomogeneity truncated below the requested order")
     if T.min_a_window() < K:
         raise ValueError("theta coefficients truncated below the requested order")
-    wk = IndicialPolynomial.from_theta(T).row_poly(n)
-    active = [(t.i, t.j, t.w(n), t.a) for t in T.terms if t.j > 0 and t.w(n) != 0]
-    u: list[Fraction] = []
+    E, diag, shifted = _theta_row(T, IndicialPolynomial.from_theta(T), n, K)
+    u: list = []
     for k in range(K + 1):
-        d = wk(k)
-        if d == 0:
+        if diag[k] == 0:
             raise ResonanceError(n, k)
-        u.append((f.coeff(k) - _shifted_sum(active, u, k)) / d)
+        fk = f.coeffs[k]
+        fk = fk.numerator if fk.denominator == 1 else fk
+        u.append(_div(E * fk - _shifted_sum(shifted, u, k), diag[k]))
     return SeriesZ(u, K)
 
 
-def _shifted_sum(active, u: list[Fraction], k: int) -> Fraction:
-    """The z-shifted part of a row's k-recurrence at k, given u below k.
+def _theta_row(T: ThetaOperator, W: IndicialPolynomial, n: int, K: int):
+    """Row n of the family on integers, as (E, diag, shifted), for k <= K.
 
-    active holds the row's nonvanishing z-shifted entries (i, j, w(n), a).
+    The one integer E clears every denominator of the row: diag[k] is
+    E W(n, k), and shifted lists the z-shifted entries (i, j, [(l, e),
+    ...]) with e = E w(n) a_l over the nonzero a_l only, l ascending;
+    entries sharing (i, j) are merged.
     """
-    acc = Fraction(0)
-    for i, j, wv, a in active:
-        for l in range(min(k - j, a.order) + 1):
-            al = a.coeffs[l]
-            if al != 0:
-                acc += wv * al * Fraction(k - j - l) ** i * u[k - j - l]
+    merged: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for t in T.terms:
+        wv = t.w(n)
+        if t.j > 0 and wv != 0:
+            col = merged.setdefault((t.i, t.j), {})
+            for l, al in enumerate(t.a.coeffs[: K - t.j + 1]):
+                if al:
+                    col[l] = col.get(l, 0) + wv * al
+    E = lcm(W.D, *(c.denominator for col in merged.values() for c in col.values()))
+    diag = [E // W.D * v for v in _values(W.int_row(n), 0, K + 1)]
+    shifted = []
+    for (i, j), col in merged.items():
+        les = [(l, c.numerator * (E // c.denominator)) for l, c in sorted(col.items()) if c]
+        if les:
+            shifted.append((i, j, les))
+    return E, diag, shifted
+
+
+def _shifted_sum(shifted, u: list, k: int):
+    """E times the z-shifted part of a row's k-recurrence at k, given u below k."""
+    acc = 0
+    for i, j, les in shifted:
+        for l, e in les:
+            x = k - j - l
+            if x < 0:
+                break
+            acc += e * x**i * u[x]
     return acc
 
 
@@ -326,34 +354,27 @@ def adversarial(T: ThetaOperator, n: int, K: int) -> AdversarialPair:
         raise ValueError(f"row n = {n} too small: the critical polynomial vanishes")
 
     W = IndicialPolynomial.from_theta(T)
-    wk = W.row_poly(n)
-    column = [
-        (t.i, t.w(n) * t.a.eval0())
-        for t in T.terms
-        if t.j == j_star and t.w(n) != 0
-    ]
+    E, diag, shifted = _theta_row(T, W, n, K)
+    # the j* column at l = 0, weights E w(n) a(0)
+    column = [(i, les[0][1]) for i, j, les in shifted if j == j_star and les[0][0] == 0]
 
-    u = [Fraction(1)]
+    u = [1]
     reseeded = False
     for k in range(1, K + 1):
-        d = wk(k)
-        if d == 0:
+        if diag[k] == 0:
             raise ResonanceError(n, k)
+        val = 0
         if k >= j_star:
-            kept = sum((cv * Fraction(k - j_star) ** ci for ci, cv in column), Fraction(0))
-            val = -kept * u[k - j_star] / d
-        else:
-            val = Fraction(0)
+            x = k - j_star
+            val = _div(-sum(e * x**i for i, e in column) * u[x], diag[k])
         if k == j_star and val == 0:
-            val = Fraction(1)
+            val = 1
             reseeded = True
         u.append(val)
     u_n = SeriesZ(u, K)
 
     # f re-derived from the full recurrence so that solve_theta(f) == u
-    active = [(t.i, t.j, t.w(n), t.a) for t in T.terms if t.j > 0 and t.w(n) != 0]
-    f = [wk(0)] + [wk(k) * u[k] + _shifted_sum(active, u, k) for k in range(1, K + 1)]
-    f_n = SeriesZ(f, K)
+    f_n = SeriesZ([_div(diag[k] * u[k] + _shifted_sum(shifted, u, k), E) for k in range(K + 1)], K)
 
     d1 = abs(w_star(n)) / Fraction(n) ** w_star.degree
     d2 = sum(
@@ -415,30 +436,33 @@ def verify_sharpness(pair: AdversarialPair) -> SharpnessCheck:
             holds=False, threshold_m=m0, c_n=0.0, first_violation=zero_at
         )
 
-    def ratio_terms(m):
-        k = m * j
-        return [
-            (abs(pair.u_n.coeffs[k]), Fraction(1)),
-            (pair.d_base, Fraction(-m)),
-            (Fraction(factorial(k)), -pair.s),
-            (Fraction(n), -pair.alpha * k),
-        ]
+    # ratio(m) = |u_{mj}| / (D^{mj} (mj)!^s n^{alpha mj}), raised to L, as P_m / Q_m
+    L = lcm(pair.alpha.denominator, pair.s.denominator)
+    scales = _gevrey_powers(1, pair.d_base, n, pair.alpha, pair.s, L, j)
+    ratios = [
+        (abs(v.numerator) ** L * den, v.denominator**L * num)
+        for v, (num, den) in zip(pair.u_n.coeffs[::j], scales)
+    ]
+
+    def ratio_le(a, b):
+        return ratios[a][0] * ratios[b][1] <= ratios[b][0] * ratios[a][1]
 
     # index of the minimal ratio over the initial segment
     c_idx = 0
     for m in range(1, min(m0, M) + 1):
-        if not _pow_products_le(ratio_terms(c_idx), ratio_terms(m)):
+        if not ratio_le(c_idx, m):
             c_idx = m
 
-    first_violation = None
-    for m in range(M + 1):
-        if not _pow_products_le(ratio_terms(c_idx), ratio_terms(m)):
-            first_violation = m
-            break
+    first_violation = next((m for m in range(M + 1) if not ratio_le(c_idx, m)), None)
 
-    base = ratio_terms(c_idx)
+    k = c_idx * j
     c_val = 1.0
-    for b, e in base:
+    for b, e in (
+        (abs(pair.u_n.coeffs[k]), Fraction(1)),
+        (pair.d_base, Fraction(-c_idx)),
+        (Fraction(factorial(k)), -pair.s),
+        (Fraction(n), -pair.alpha * k),
+    ):
         c_val *= float(b) ** float(e)
     return SharpnessCheck(
         holds=first_violation is None,

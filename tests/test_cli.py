@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ import shrinkdisc.solver
 from shrinkdisc import fixtures
 from shrinkdisc.cli import main
 from shrinkdisc.dsl import build_operator
+from shrinkdisc.growth import bound_violation
 from shrinkdisc.series import SeriesTZ
 
 
@@ -367,6 +369,51 @@ class TestErrors:
         code, out, _err = run(capsys, "--print-config")
         assert code == 0
         assert "seed" not in dict(ln.split("=", 1) for ln in out.strip().splitlines())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--fixture", "geometric", "--s", "1/0"],
+            ["analyze", "--fixture", "geometric", "--s", "half"],
+            ["fit", "--solution", "x.csv", "--alpha", "1/0"],
+            ["fit", "--solution", "x.csv", "--alpha", "x"],
+            ["fit", "--solution", "x.csv", "--s", "2/0"],
+        ],
+    )
+    def test_malformed_rationals_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        data = json.loads(capsys.readouterr().err)
+        assert data["error"] == "UsageError"
+        assert argv[-2] in data["message"] and repr(argv[-1]) in data["message"]
+
+    @pytest.mark.parametrize("command", ["solve", "sharpness"])
+    @pytest.mark.parametrize("flag", [["--grid", "16,16"], ["--s", "1/2"], ["--s", "1/0"], ["--svg"]])
+    def test_unread_flags_are_usage_errors(self, command, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--fixture", "geometric", "--K", "8", *flag, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        data = json.loads(capsys.readouterr().err)
+        assert data["error"] == "UsageError"
+        assert flag[0] in data["message"]
+        assert not any(tmp_path.iterdir())
+
+    def test_fit_with_negative_alpha_and_s(self, tmp_path, capsys):
+        code, _out, _err = run(
+            capsys, "solve", "--fixture", "geometric", "--N", "10", "--K", "20",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        code, out, _err = run(
+            capsys, "fit", "--solution", str(tmp_path / "solution.csv"), "--alpha", "-1",
+            "--s=-1/2", "--out-dir", str(tmp_path / "fit"),
+        )
+        assert code == 0
+        bounds = json.loads(out)["bounds"]
+        A = {n: Fraction(a) for n, a in bounds["A"]}
+        u = SeriesTZ.from_csv((tmp_path / "solution.csv").read_text())
+        assert bound_violation(u, Fraction(-1), Fraction(-1, 2), A, Fraction(bounds["B"])) is None
 
     def test_hypothesis_error(self, tmp_path, capsys):
         op = tmp_path / "op.txt"

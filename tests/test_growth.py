@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from shrinkdisc.growth import (
     RadiusIndeterminateError,
-    _pow_products_le,
+    _gevrey_powers,
     analyze_table,
     bound_violation,
     fit_alpha,
@@ -132,23 +132,70 @@ class TestLemmaSuite:
         assert rep.checked[0] > 0 and rep.checked[1] > 0 and rep.checked[2] > 0
 
 
-_factor = st.tuples(
-    st.builds(Fraction, st.integers(1, 40), st.integers(1, 40)),
-    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
-)
+_pos = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
+_exponent = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(_factor, max_size=4), st.lists(_factor, max_size=4))
-def test_pow_products_le_matches_exact_powers(lhs, rhs):
-    # both sides raised to the common exponent denominator L are exact
-    L = math.lcm(*(e.denominator for _b, e in lhs + rhs))
+@given(_pos, _pos, st.integers(1, 9), _exponent, _exponent, st.integers(1, 3))
+def test_gevrey_powers_match_exact_powers(c, b, n, alpha, s, step):
+    # (c b^m n^{alpha step m} (step m)!^s)^L with integer exponents is exact
+    L = math.lcm(alpha.denominator, s.denominator)
+    for m, (num, den) in zip(range(7), _gevrey_powers(c, b, n, alpha, s, L, step)):
+        k = step * m
+        exact = (
+            c**L
+            * b ** (m * L)
+            * Fraction(n) ** int(alpha * L * k)
+            * Fraction(math.factorial(k)) ** int(s * L)
+        )
+        assert num > 0 and den > 0
+        assert Fraction(num, den) == exact
 
-    def power(side):
-        return math.prod((b ** int(e * L) for b, e in side), start=Fraction(1))
 
-    assert _pow_products_le(lhs, rhs) == (power(lhs) <= power(rhs))
-    assert _pow_products_le(lhs, lhs)
+def oracle_bound_violation(u, alpha, s, A, B):
+    """The cell-by-cell bound check, each cell's sides raised to L as exact Fractions."""
+    L = math.lcm(alpha.denominator, s.denominator)
+    for n, k, v in u.items():
+        if n < 1 or n not in A:
+            continue
+        rhs = (
+            A[n] ** L
+            * B ** (k * L)
+            * Fraction(n) ** int(alpha * k * L)
+            * Fraction(math.factorial(k)) ** int(s * L)
+        )
+        if abs(v) ** L > rhs:
+            return (n, k)
+    return None
+
+
+@st.composite
+def bound_cases(draw):
+    """A random rational table (zeros included), alpha and s of either sign with denominators."""
+    N, K = draw(st.integers(1, 4)), draw(st.integers(2, 12))
+    val = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 9))
+    cells = {
+        (n, k): draw(val) * (n + 1) ** k
+        for n in range(N + 1)
+        for k in range(K + 1)
+    }
+    for n in range(1, N + 1):  # every row keeps two nonzero cells
+        cells[n, 0], cells[n, K] = cells[n, 0] or 1, cells[n, K] or 1
+    alpha = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+    s = Fraction(draw(st.integers(-2, 4)), draw(st.integers(1, 3)))
+    A = {n: draw(_pos) for n in range(1, N + 1) if draw(st.integers(0, 5))}
+    return SeriesTZ(cells, N, K), alpha, s, A, draw(_pos)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(bound_cases())
+def test_bound_violation_matches_fraction_oracle(case):
+    u, alpha, s, A_rand, B_rand = case
+    A, B = minimal_bound_constants(u, alpha, s)
+    assert bound_violation(u, alpha, s, A, B) is None is oracle_bound_violation(u, alpha, s, A, B)
+    for A_, B_ in ((A, B * Fraction(9, 10)), (A_rand, B_rand), (A, B_rand)):
+        assert bound_violation(u, alpha, s, A_, B_) == oracle_bound_violation(u, alpha, s, A_, B_)
 
 
 class TestBoundConstants:

@@ -19,7 +19,6 @@ from shrinkdisc.resonance import (
     IndicialPolynomial,
     _check_bound,
     certify,
-    eval_W,
     liouville_demo,
 )
 
@@ -37,11 +36,10 @@ def geometric_W():
 
 class TestEval:
     def test_geometric_closed_form(self, geometric_W):
-        assert eval_W(geometric_W, 3, 4) == 20
+        assert geometric_W.eval(3, 4) == 20
         for n in range(101):
-            row = geometric_W.row_poly(n)
             for k in range(101):
-                assert row(k) == (n + 1) * (k + 1)
+                assert geometric_W.eval(n, k) == (n + 1) * (k + 1)
 
     def test_constant_one(self):
         W = IndicialPolynomial({0: Poly([1])})
@@ -59,7 +57,9 @@ class TestEval:
 
     def test_negative_indices_rejected(self, geometric_W):
         with pytest.raises(ValueError):
-            eval_W(geometric_W, -1, 0)
+            geometric_W.eval(-1, 0)
+        with pytest.raises(ValueError):
+            geometric_W.eval(0, -1)
 
 
 class TestCertify:
@@ -258,7 +258,6 @@ class TestIntegerForm:
         assert W.int_row(3) == [-2, 2]
         assert W.int_column(1) == []
         assert W.int_column(0) == [1, -1]
-        assert W.row_poly(3) == Poly([-2, 2])
 
     @pytest.mark.parametrize(
         "W, grid, tail",

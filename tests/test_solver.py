@@ -1,11 +1,16 @@
+import dataclasses
 import random
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkdisc import fixtures
-from shrinkdisc.analysis import analyze_operator, exponents
+from shrinkdisc.analysis import ThetaOperator, ThetaTerm, analyze_operator, exponents
 from shrinkdisc.dsl import build_operator
+from shrinkdisc.polynomial import Poly
 from shrinkdisc.resonance import IndicialPolynomial, ResonanceError
 from shrinkdisc.series import SeriesTZ, SeriesZ
 import shrinkdisc.solver
@@ -281,3 +286,174 @@ class TestApplyFull:
         u = SeriesTZ.const(1, 6, 6)
         out = apply_full(P, 0, u)
         assert (out.n_order, out.k_order) == (6, 6)
+
+
+# ------------------------------------------------ Fraction row oracles
+#
+# The row k-recurrence as plain Fraction loops: every a_l of every entry
+# is visited and the diagonal is summed from the j = 0 entries per cell.
+# They share no code with the compiled integer row.
+
+
+def oracle_diag(T, n, k):
+    return sum((t.w(n) * t.a.eval0() * Fraction(k) ** t.i for t in T.terms if t.j == 0), Fraction(0))
+
+
+def oracle_active(T, n):
+    return [(t.i, t.j, t.w(n), t.a) for t in T.terms if t.j > 0 and t.w(n) != 0]
+
+
+def oracle_shifted_sum(active, u, k):
+    acc = Fraction(0)
+    for i, j, wv, a in active:
+        for l in range(min(k - j, a.order) + 1):
+            al = a.coeffs[l]
+            if al != 0:
+                acc += wv * al * Fraction(k - j - l) ** i * u[k - j - l]
+    return acc
+
+
+def oracle_solve_theta(T, n, f, K):
+    active = oracle_active(T, n)
+    u = []
+    for k in range(K + 1):
+        d = oracle_diag(T, n, k)
+        if d == 0:
+            raise ResonanceError(n, k)
+        u.append((f.coeff(k) - oracle_shifted_sum(active, u, k)) / d)
+    return SeriesZ(u, K)
+
+
+def oracle_adversarial_row(T, n, K, j_star):
+    """(u, f, reseeded) of the adversarial row, one Fraction step at a time."""
+    active = oracle_active(T, n)
+    column = [(t.i, t.w(n) * t.a.eval0()) for t in T.terms if t.j == j_star and t.w(n) != 0]
+    u = [Fraction(1)]
+    reseeded = False
+    for k in range(1, K + 1):
+        d = oracle_diag(T, n, k)
+        if d == 0:
+            raise ResonanceError(n, k)
+        if k >= j_star:
+            kept = sum((cv * Fraction(k - j_star) ** ci for ci, cv in column), Fraction(0))
+            val = -kept * u[k - j_star] / d
+        else:
+            val = Fraction(0)
+        if k == j_star and val == 0:
+            val = Fraction(1)
+            reseeded = True
+        u.append(val)
+    f = [oracle_diag(T, n, 0)]
+    f += [oracle_diag(T, n, k) * u[k] + oracle_shifted_sum(active, u, k) for k in range(1, K + 1)]
+    return SeriesZ(u, K), SeriesZ(f, K), reseeded
+
+
+def oracle_sharpness(pair):
+    """verify_sharpness with every ratio compared as an exact Fraction power."""
+    j, n = pair.j_star, pair.n
+    M = pair.u_n.order // j
+    g = pair.gamma_bar
+    m0 = next(
+        (m for m in range(M + 1) if m * j >= 2 * j and (m * j) ** g.denominator >= n**g.numerator),
+        M,
+    )
+    zero_at = next((m for m in range(M + 1) if pair.u_n.coeffs[m * j] == 0), None)
+    if zero_at is not None:
+        return shrinkdisc.solver.SharpnessCheck(False, m0, 0.0, zero_at)
+    L = lcm(pair.alpha.denominator, pair.s.denominator)
+
+    def ratio(m):  # (|u_{mj}| / (d_base^m (mj)!^s n^{alpha mj}))^L
+        k = m * j
+        scale = (
+            pair.d_base ** (m * L)
+            * Fraction(factorial(k)) ** int(pair.s * L)
+            * Fraction(n) ** int(pair.alpha * k * L)
+        )
+        return abs(pair.u_n.coeffs[k]) ** L / scale
+
+    c_idx = 0
+    for m in range(1, min(m0, M) + 1):
+        if ratio(m) < ratio(c_idx):
+            c_idx = m
+    first = next((m for m in range(M + 1) if ratio(m) < ratio(c_idx)), None)
+    k = c_idx * j
+    c_val = 1.0
+    for b, e in (
+        (abs(pair.u_n.coeffs[k]), Fraction(1)),
+        (pair.d_base, Fraction(-c_idx)),
+        (Fraction(factorial(k)), -pair.s),
+        (Fraction(n), -pair.alpha * k),
+    ):
+        c_val *= float(b) ** float(e)
+    return shrinkdisc.solver.SharpnessCheck(first is None, m0, c_val, first)
+
+
+def _outcome(fn, *args):
+    """fn's result, or its exception as (type, args) so failures compare too."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), exc.args
+
+
+_q = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_z = st.integers(-6, 6).map(Fraction)
+
+
+@st.composite
+def theta_rows(draw):
+    """A random theta family, a row n >= 1 and a right side f.
+
+    Diagonal entries carry a constant a; the z-shifted entries have
+    rational or integer w(n), an a(z) with up to four nonzero
+    coefficients, Euler powers up to p + 2 (s > 0) and shifts up to 3
+    with degree gaps 1-2 (alpha > 0, often with a denominator).
+    Integer-only draws make rows that turn Fraction mid-row; a j* column
+    without an Euler-power-zero entry makes the reseeded case; repeated
+    (i, j) labels interleave the a_l of merged entries.
+    """
+    coef = _z if draw(st.booleans()) else _q
+    nonzero = coef.filter(bool)
+    K = draw(st.integers(3, 14))
+    p, dp = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+
+    def poly(deg):
+        return Poly([*draw(st.lists(coef, min_size=deg, max_size=deg)), draw(nonzero)])
+
+    terms = [ThetaTerm(p, 0, poly(dp), SeriesZ([draw(nonzero)], K), (0, 0))]
+    for i in range(p):
+        if i == 0 or draw(st.booleans()):
+            terms.append(ThetaTerm(i, 0, poly(draw(st.integers(0, dp))), SeriesZ([draw(nonzero)], K), (0, 0)))
+    labels = []
+    for _ in range(draw(st.integers(1, 3))):
+        if labels and draw(st.booleans()):  # entries sharing (i, j) are merged by the integer row
+            j, i = draw(st.sampled_from(labels))
+        else:
+            j, i = draw(st.integers(1, 3)), draw(st.integers(0, p + 2))
+            labels.append((j, i))
+        a = [Fraction(0)] * (K + 1)
+        a[0] = draw(nonzero)
+        for l in draw(st.sets(st.integers(1, K), max_size=3)):
+            a[l] = draw(nonzero)
+        terms.append(ThetaTerm(i, j, poly(dp + draw(st.integers(1, 2))), SeriesZ(a, K), (0, 0)))
+    f = SeriesZ(draw(st.lists(coef, min_size=K + 1, max_size=K + 1)), K)
+    return ThetaOperator(terms, 0, 0), draw(st.integers(1, 4)), K, f
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(theta_rows())
+def test_integer_rows_match_fraction_oracle(case):
+    T, n, K, f = case
+    assert _outcome(solve_theta, T, n, f, K) == _outcome(oracle_solve_theta, T, n, f, K)
+    pair = _outcome(adversarial, T, n, K)
+    if isinstance(pair, tuple):  # no adversarial direction, or a vanishing row
+        return
+    assert (pair.u_n, pair.f_n, pair.reseeded) == oracle_adversarial_row(T, n, K, pair.j_star)
+    if oracle_diag(T, n, 0) != 0:  # adversarial seeds u_0 = 1 without checking W(n, 0)
+        assert solve_theta(T, n, pair.f_n, K) == pair.u_n
+    # the row itself, a decaying one that breaks the bound, and one with a zero on the progression
+    decayed = SeriesZ([v / 7**k for k, v in enumerate(pair.u_n.coeffs)], K)
+    holed = SeriesZ([0 if k == K // pair.j_star * pair.j_star else v for k, v in enumerate(pair.u_n.coeffs)], K)
+    for u_n in (pair.u_n, decayed, holed):
+        variant = dataclasses.replace(pair, u_n=u_n)
+        assert _outcome(verify_sharpness, variant) == _outcome(oracle_sharpness, variant)
